@@ -7,7 +7,7 @@ REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
 BENCH_BASE ?= BENCH_seed.json
 
-.PHONY: build test bench bench-compare bench-smoke bench-go verify verify-race verify-kernel verify-chaos verify-adapt verify-replay verify-claim verify-serve verify-cluster
+.PHONY: build test bench bench-compare bench-smoke bench-go bench-e2e verify verify-race verify-kernel verify-chaos verify-adapt verify-replay verify-claim verify-serve verify-cluster
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ bench-smoke:
 # no statistics — for quick spot checks only).
 bench-go:
 	$(GO) test -bench=. -benchtime=1x .
+
+# bench-e2e runs the two end-to-end loopschedd workloads BENCHMARK.json
+# gates, each exactly as the benchmark does (fresh daemons built from
+# this checkout under .bench_build/). The last line of each is the
+# JSON result; E2E_SEED picks the workload seed.
+E2E_SEED ?= 1
+bench-e2e:
+	bash e2ebench/run.sh --workload nest-spin --seed $(E2E_SEED) --seconds 40 --trace 0
+	bash e2ebench/run.sh --workload cluster-durable --seed $(E2E_SEED) --seconds 40 --trace 0
 
 # verify is the tier-1 gate: everything builds, every test passes.
 verify:

@@ -103,9 +103,27 @@ type clusterState struct {
 	placeTag string
 	placeSeq atomic.Uint64
 
+	// progressWait and placementWait are the ?wait= long-poll periods of
+	// proxied progress streams and placement watchers (see
+	// longPollWait).
+	progressWait  time.Duration
+	placementWait time.Duration
+
 	mu         sync.Mutex
 	placements map[string]*placement
 	pollers    sync.WaitGroup
+}
+
+// longPollWait is the ?wait= a cross-node status long-poll carries for
+// a poll period (def when unset). It stays under half the RPC client's
+// per-attempt deadline, so the owner answers well within one attempt,
+// and under the owner's maxStatusWait cap, so pacing (see pace) never
+// sleeps past the owner's actual wait.
+func longPollWait(period, def, rpcTimeout time.Duration) time.Duration {
+	if period <= 0 {
+		period = def
+	}
+	return max(min(period, rpcTimeout/2, maxStatusWait), time.Millisecond)
 }
 
 func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
@@ -122,6 +140,10 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 		client:     client,
 		placeTag:   fmt.Sprintf("%08x", rand.Uint32()),
 		placements: map[string]*placement{},
+		// The defaults match the -sample flag's and the membership
+		// probe interval's.
+		progressWait:  longPollWait(s.cfg.SampleInterval, 200*time.Millisecond, client.Timeout()),
+		placementWait: longPollWait(opts.ProbeInterval, 500*time.Millisecond, client.Timeout()),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	mem, err := cluster.NewMembership(cluster.MembershipConfig{
@@ -136,7 +158,7 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 			st := s.rn.Stats()
 			return st.Running + st.QueueDepth
 		},
-		LocalDraining: func() bool { return s.draining.Load() },
+		LocalDraining: func() bool { return s.isDraining() },
 	})
 	if err != nil {
 		return nil, err
@@ -321,14 +343,44 @@ func (c *clusterState) ownerOf(id string) (cluster.Peer, bool) {
 	return cluster.Peer{}, false
 }
 
-// fetchStatus GETs a run's status from whichever node serves it: the
-// resolved owner first, then — if that fails — every other live peer
-// (scatter), so polls survive stale prefixes and mid-failover windows.
-func (c *clusterState) fetchStatus(ctx context.Context, id string) (*cluster.Response, bool) {
+// statusPath is a run's status path, a long-poll when wait > 0.
+func statusPath(id string, wait time.Duration) string {
+	if wait <= 0 {
+		return "/v1/runs/" + id
+	}
+	return "/v1/runs/" + id + "?wait=" + wait.String()
+}
+
+// pace sleeps out the rest of a poll period that began at began, so a
+// long-poll answered early without an outcome — a miss, a draining
+// owner, an owner that ignores ?wait= — never turns into a busy loop.
+// A zero began does not sleep. It reports false when ctx ends first.
+func pace(ctx context.Context, began time.Time, period time.Duration) bool {
+	d := time.Until(began.Add(period))
+	if began.IsZero() || d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// fetchStatus GETs a run's status — long-polling for up to wait when
+// wait > 0 — from whichever node serves it: the resolved owner first,
+// then, if that fails, every other live peer (scatter), so polls
+// survive stale prefixes and mid-failover windows. A peer that does not
+// host the run answers 404 at once; only the owner holds the poll.
+func (c *clusterState) fetchStatus(ctx context.Context, id string, wait time.Duration) (*cluster.Response, bool) {
+	path := statusPath(id, wait)
 	tried := map[string]bool{c.self.Name: true}
 	if owner, ok := c.ownerOf(id); ok {
 		tried[owner.Name] = true
-		resp, err := c.client.DoHeader(ctx, owner, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
+		resp, err := c.client.DoHeader(ctx, owner, http.MethodGet, path, c.internalHdr(""), nil, nil)
 		if err == nil && resp.Status == http.StatusOK {
 			return resp, true
 		}
@@ -337,7 +389,7 @@ func (c *clusterState) fetchStatus(ctx context.Context, id string) (*cluster.Res
 		if tried[n.Peer.Name] || n.State == cluster.NodeDead {
 			continue
 		}
-		resp, err := c.client.DoHeader(ctx, n.Peer, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
+		resp, err := c.client.DoHeader(ctx, n.Peer, http.MethodGet, path, c.internalHdr(""), nil, nil)
 		if err == nil && resp.Status == http.StatusOK {
 			return resp, true
 		}
@@ -345,10 +397,11 @@ func (c *clusterState) fetchStatus(ctx context.Context, id string) (*cluster.Res
 	return nil, false
 }
 
-// proxyGet serves GET /v1/runs/{id} for a run another node owns.
-// Reports whether it handled the request.
-func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id string) bool {
-	resp, ok := c.fetchStatus(r.Context(), id)
+// proxyGet serves GET /v1/runs/{id} for a run another node owns,
+// passing a long-poll's (already capped) wait on to the owner. Reports
+// whether it handled the request.
+func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id string, wait time.Duration) bool {
+	resp, ok := c.fetchStatus(r.Context(), id, wait)
 	if !ok {
 		return false
 	}
@@ -408,53 +461,54 @@ func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, act
 	return false
 }
 
-// proxyProgress streams NDJSON progress for a remote run by polling
-// the owner's status through the hardened client — every cross-node
-// request stays deadline-bounded, unlike a raw streaming proxy whose
-// body read can hang on a dead peer. Snapshots come at the server's
-// sample interval; the stream ends at the first terminal snapshot.
+// maxProxyMisses is how many consecutive failed status polls a
+// proxied progress stream rides out (the owner may be mid-failover)
+// before it ends.
+const maxProxyMisses = 5
+
+// proxyProgress streams NDJSON progress for a remote run by
+// long-polling the owner's status through the hardened client. The
+// owner answers a poll as soon as the run is terminal, so the terminal
+// line leaves with the run's end; yet every cross-node request stays
+// deadline-bounded (the wait is at most half the per-attempt deadline),
+// unlike a raw streaming proxy whose body read can hang on a dead peer.
+// Lines come at most once per progressWait. A poll that misses emits
+// nothing; the stream ends at the first terminal snapshot, or after
+// maxProxyMisses consecutive misses.
 func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id string) bool {
-	resp, ok := c.fetchStatus(r.Context(), id)
+	ctx := r.Context()
+	resp, ok := c.fetchStatus(ctx, id, 0)
 	if !ok {
 		return false
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	interval := c.s.cfg.SampleInterval
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
-	misses := 0
-	for {
-		var st runStatus
-		if err := json.Unmarshal(resp.Body, &st); err != nil {
-			return true
-		}
-		if enc.Encode(st.Progress) != nil {
-			return true
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminalState(st.State) {
-			return true
-		}
-		select {
-		case <-r.Context().Done():
-			return true
-		case <-time.After(interval):
-		}
-		if resp, ok = c.fetchStatus(r.Context(), id); !ok {
-			// The owner may be mid-failover; tolerate a few misses before
-			// ending the stream.
-			if misses++; misses > 5 {
+	var began time.Time // the first line answers at once: nothing to pace
+	for misses := 0; ; {
+		if ok {
+			var st runStatus
+			if err := json.Unmarshal(resp.Body, &st); err != nil {
 				return true
 			}
-			resp = &cluster.Response{Body: []byte("{}")}
-			continue
+			if enc.Encode(st.Progress) != nil {
+				return true
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			if terminalState(st.State) {
+				return true
+			}
+			misses = 0
+		} else if misses++; misses > maxProxyMisses {
+			return true
 		}
-		misses = 0
+		if !pace(ctx, began, c.progressWait) {
+			return true
+		}
+		began = time.Now()
+		resp, ok = c.fetchStatus(ctx, id, c.progressWait)
 	}
 }
 
@@ -561,42 +615,39 @@ func restoreNote(ck *repro.Checkpoint) string {
 	return " (resuming from last snapshot)"
 }
 
-// watchPlacement polls a placed run's owner for its status on the
-// membership probe interval: journaling each new snapshot (the
-// failover restore point), recording the terminal state, and — when
-// the owner turns out to have lost the run (a 404 from a live owner,
-// e.g. one restarted without its journal) — triggering failover.
+// watchPlacement follows a placed run until it is terminal by
+// long-polling its owner (placementWait at a time): the owner answers
+// as soon as the run ends, so the terminal record is journaled and the
+// placement pruned with the run's end. On the way it journals each new
+// snapshot (the failover restore point) and — when the owner turns out
+// to have lost the run (a 404 from a live owner, e.g. one restarted
+// without its journal) — triggers failover. Every wait is bound to
+// c.ctx, so close returns promptly.
 func (c *clusterState) watchPlacement(p *placement) {
 	defer c.pollers.Done()
-	interval := c.opts.ProbeInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
 	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-time.After(interval):
-		}
 		c.mu.Lock()
-		node, done := p.node, p.done
+		node := p.node
 		c.mu.Unlock()
-		if done {
+		began := time.Now()
+		var done bool
+		if node == c.self.Name {
+			done = c.pollLocal(p)
+		} else {
+			done = c.pollRemote(p, node)
+		}
+		if done || !pace(c.ctx, began, c.placementWait) {
 			return
 		}
-		if node == c.self.Name {
-			c.pollLocal(p)
-			continue
-		}
-		c.pollRemote(p)
 	}
 }
 
-// pollLocal tracks a placement that failed over onto this node.
-func (c *clusterState) pollLocal(p *placement) {
+// pollLocal waits on a placement that failed over onto this node;
+// it reports whether the placement is finished.
+func (c *clusterState) pollLocal(p *placement) bool {
 	run, ok := c.s.rn.Get(p.id)
-	if !ok {
-		return
+	if !ok || !c.s.awaitRun(c.ctx, run, c.placementWait) {
+		return false
 	}
 	if ck := run.Checkpoint(); ck != nil {
 		c.noteSnapshot(p, ck)
@@ -605,19 +656,18 @@ func (c *clusterState) pollLocal(p *placement) {
 	if st.Terminal() {
 		c.finishPlacement(p, st.String(), run)
 	}
+	return st.Terminal()
 }
 
-// pollRemote polls the remote owner once.
-func (c *clusterState) pollRemote(p *placement) {
-	c.mu.Lock()
-	node := p.node
-	c.mu.Unlock()
+// pollRemote long-polls the remote owner once; it reports whether the
+// placement is finished.
+func (c *clusterState) pollRemote(p *placement, node string) bool {
 	owner, ok := c.peerNamed(node)
 	if !ok {
-		return
+		return false
 	}
 	var st runStatus
-	resp, err := c.client.DoHeader(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id,
+	_, err := c.client.DoHeader(c.ctx, owner, http.MethodGet, statusPath(p.id, c.placementWait),
 		c.internalHdr(""), nil, &st)
 	if err != nil {
 		var se *cluster.StatusError
@@ -628,15 +678,16 @@ func (c *clusterState) pollRemote(p *placement) {
 			c.failover(p)
 		}
 		// Transport failures: membership declares death; OnDead handles it.
-		return
+		return false
 	}
-	_ = resp
 	if st.Checkpoint != nil {
 		c.noteSnapshot(p, st.Checkpoint)
 	}
 	if terminalState(st.State) {
 		c.finishPlacement(p, st.State, nil)
+		return true
 	}
+	return false
 }
 
 // noteSnapshot journals a placed run's snapshot when it changed.

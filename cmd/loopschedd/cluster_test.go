@@ -46,8 +46,9 @@ func (tc *testCluster) intercept(i int, f testIntercept) {
 }
 
 // startCluster boots n nodes named n1..nN. Each node journals into
-// dir; faults (may be nil) seeds the shared network-fault injector.
-func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, every int64) *testCluster {
+// dir; faults (may be nil) seeds the shared network-fault injector;
+// tweaks adjust every node's configuration before it boots.
+func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, every int64, tweaks ...func(*serverConfig)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	// Listeners first (URLs must exist before the servers do), each
@@ -82,7 +83,7 @@ func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, 
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		s, err := newServer(serverConfig{
+		cfg := serverConfig{
 			MaxConcurrent:  2,
 			SampleInterval: 5 * time.Millisecond,
 			JournalPath:    filepath.Join(dir, tc.names[i]+".journal"),
@@ -96,7 +97,11 @@ func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, 
 				CheckpointEvery: every,
 				Faults:          faults,
 			},
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		s, err := newServer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

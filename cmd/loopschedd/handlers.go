@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,7 +124,7 @@ type errorResponse struct {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
@@ -298,17 +299,52 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// maxStatusWait caps a status long-poll (GET /v1/runs/{id}?wait=). It
+// sits below the cluster RPC client's default 2s per-attempt deadline,
+// so a proxied long-poll always answers within one attempt.
+const maxStatusWait = time.Second
+
+// errBadWait reports a malformed, zero or negative ?wait= value.
+var errBadWait = errors.New("bad wait")
+
+// statusWait parses the optional ?wait= long-poll duration of
+// GET /v1/runs/{id}: absent is 0 (answer at once); a value over
+// maxStatusWait is clamped to it.
+func statusWait(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
+	if err != nil || d <= 0 {
+		return 0, fmt.Errorf("%w %q: want a positive duration such as \"200ms\" (capped at %v)",
+			errBadWait, q.Get("wait"), maxStatusWait)
+	}
+	return min(d, maxStatusWait), nil
+}
+
+// handleGet answers a run's status. With ?wait= it is a long-poll: the
+// answer waits until the run is terminal, the wait elapses or the
+// server starts draining, whichever comes first.
 func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
+	wait, err := statusWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	run, ok := s.rn.Get(r.PathValue("id"))
 	if !ok {
 		// Internal requests never re-proxy: a forwarding loop between two
 		// nodes that both miss would otherwise bounce until a deadline.
 		if s.cluster != nil && !s.isInternal(r) &&
-			s.cluster.proxyGet(w, r, r.PathValue("id")) {
+			s.cluster.proxyGet(w, r, r.PathValue("id"), wait) {
 			return
 		}
 		writeError(w, http.StatusNotFound, errors.New("no such run"))
 		return
+	}
+	if wait > 0 && !s.awaitRun(r.Context(), run, wait) {
+		return // the client went away: there is no one to answer
 	}
 	st := runStatus{Progress: run.Progress()}
 	if res, err := run.Result(); err == nil {
@@ -323,6 +359,22 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st.Checkpoint = run.Checkpoint()
 	writeJSON(w, st)
+}
+
+// awaitRun holds a status long-poll until run is terminal, wait
+// elapses or the server starts draining. It reports false when ctx —
+// the client's request — ends first.
+func (s *server) awaitRun(ctx context.Context, run *runner.Run, wait time.Duration) bool {
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-run.Done():
+	case <-t.C:
+	case <-s.draining.Done():
+	case <-ctx.Done():
+		return false
+	}
+	return true
 }
 
 // handleProgress streams NDJSON progress snapshots until the run is

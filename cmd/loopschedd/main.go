@@ -8,7 +8,10 @@
 //	POST /v1/runs                submit {"program": "...", "options": {...},
 //	                             "timeout": "30s", "label": "..."}
 //	GET  /v1/runs                list all runs (progress snapshots)
-//	GET  /v1/runs/{id}           one run's status, with the result once done
+//	GET  /v1/runs/{id}           one run's status, with the result once done;
+//	                             ?wait=DURATION long-polls: the answer comes
+//	                             when the run ends, the wait elapses (capped
+//	                             at 1s) or the server starts draining
 //	GET  /v1/runs/{id}/progress  NDJSON stream of progress until terminal
 //	POST /v1/runs/{id}/cancel    request cancellation
 //	POST /v1/runs/{id}/checkpoint pause a checkpointable run; fetch the
@@ -60,7 +63,9 @@
 // set and the nodes serve one API: any node accepts a submission,
 // places it on the least-loaded live node, and proxies polls, progress
 // streams and cancels for runs it does not own (run IDs are node-
-// prefixed, so any node routes them without coordination). Clustering
+// prefixed, so any node routes them without coordination). A proxied
+// progress stream long-polls the owner's status, so its terminal line
+// leaves the owner with the run's end. Clustering
 // requires a shared secret (-cluster-secret, or "secret" in the
 // cluster file): peers and clients share one listener, so intra-
 // cluster calls — which may carry a resolved tenant and a caller-

@@ -51,12 +51,16 @@ type serverConfig struct {
 // server is the HTTP front end over a runner.Runner. It is an
 // http.Handler, so tests drive it through httptest without a socket.
 type server struct {
-	cfg      serverConfig
-	rn       *runner.Runner
-	reg      *obs.Registry
-	mux      *http.ServeMux
-	started  time.Time
-	draining atomic.Bool
+	cfg     serverConfig
+	rn      *runner.Runner
+	reg     *obs.Registry
+	mux     *http.ServeMux
+	started time.Time
+	// draining is cancelled when close begins: submissions are refused
+	// from then on, and open status long-polls answer at once so they
+	// never hold a shutdown up.
+	draining   context.Context
+	startDrain context.CancelFunc
 	// jw is the run journal (nil when journalling is off); watchers
 	// tracks the per-run goroutines appending transition records, so
 	// close can wait for the terminal records before flushing.
@@ -108,6 +112,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		}),
 		mux: http.NewServeMux(),
 	}
+	s.draining, s.startDrain = context.WithCancel(context.Background())
 	reg.Gauge("loopschedd_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -155,6 +160,9 @@ func newServer(cfg serverConfig) (*server, error) {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// isDraining reports whether close has begun.
+func (s *server) isDraining() bool { return s.draining.Err() != nil }
+
 // handleReady reports readiness: 200 while serving, 503 once draining,
 // so a load balancer stops routing submissions before shutdown cuts
 // live runs off. The load and draining headers ride every response —
@@ -164,7 +172,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 	st := s.rn.Stats()
 	w.Header().Set(cluster.LoadHeader, strconv.Itoa(st.Running+st.QueueDepth))
-	if s.draining.Load() {
+	if s.isDraining() {
 		w.Header().Set(cluster.DrainingHeader, "1")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
@@ -193,7 +201,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{OK: true, Components: map[string]healthComponent{}}
 
 	sched := healthComponent{OK: true}
-	if s.draining.Load() {
+	if s.isDraining() {
 		sched.Detail = "draining"
 	}
 	resp.Components["scheduler"] = sched
@@ -251,7 +259,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // transition watchers are joined and the journal flushed before close
 // returns, so a clean shutdown loses no terminal records.
 func (s *server) close(ctx context.Context) {
-	s.draining.Store(true)
+	s.startDrain()
 	if s.cluster != nil {
 		// Stop probing and placement-polling first: a node shutting
 		// itself down must not fail anything over, and peers will see

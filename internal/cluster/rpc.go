@@ -109,6 +109,10 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 }
 
+// Timeout returns the per-attempt deadline every call carries — the
+// bound a caller's long-poll must stay under.
+func (c *Client) Timeout() time.Duration { return c.cfg.Timeout }
+
 // Breaker returns peer's circuit breaker (created closed on first use).
 func (c *Client) Breaker(peer string) *Breaker {
 	c.mu.Lock()

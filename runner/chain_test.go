@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,5 +179,51 @@ func TestCheckpointEveryPreemption(t *testing.T) {
 		if low.h.Attempts() < 2 {
 			t.Errorf("preempted chain has %d attempt(s), want >= 2", low.h.Attempts())
 		}
+	}
+}
+
+// TestDoneRunCompacts pins what a done run keeps: the executor probe
+// and the chain's last restore point are released at finalization, and
+// the frozen counters read exactly as the live probe did.
+func TestDoneRunCompacts(t *testing.T) {
+	rn := New(Config{MaxConcurrent: 1})
+	defer rn.Close()
+	var last atomic.Pointer[repro.Live]
+	r, err := rn.Submit(Submission{
+		Program: finiteProgram(t, 64),
+		Options: repro.Options{
+			Procs:   4,
+			Scheme:  "gss",
+			Observe: func(lv repro.Live) { last.Store(&lv) },
+		},
+		CheckpointEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("chained run: %v", err)
+	}
+	if r.Snapshots() == 0 {
+		t.Fatal("chain parked no periodic snapshots: nothing to compact")
+	}
+	after := r.Progress()
+	if r.probe.Load() != nil {
+		t.Error("done run still holds its executor probe")
+	}
+	if ck := r.Checkpoint(); ck != nil {
+		t.Errorf("done run still holds a restore point: %+v", ck)
+	}
+	if after.Iterations != res.Stats.Iterations {
+		t.Errorf("compacted progress reports %d iterations, result %d", after.Iterations, res.Stats.Iterations)
+	}
+
+	// Undo the compaction: the handle as it was before finalization
+	// must report the same progress.
+	r.final.Store(nil)
+	r.probe.Store(last.Load())
+	if before := r.Progress(); before != after {
+		t.Errorf("progress changed by compaction:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -421,12 +421,15 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 					// snapshot so a client can resubmit it with a fresh budget.
 					r.ckpt.Store(be.Checkpoint)
 				}
+				if err == nil {
+					r.compact()
+				}
 				return res, err
 			}
 		},
 		Sample: func() any {
-			if lv := r.probe.Load(); lv != nil {
-				return (*lv).LiveStats()
+			if sn, ok := r.liveStats(); ok {
+				return sn
 			}
 			return nil
 		},
@@ -448,11 +451,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			opts.FlightRecorder = watchdogFlightEvents
 		}
 		job.Heartbeat = func() int64 {
-			lv := r.probe.Load()
-			if lv == nil {
-				return 0
-			}
-			sn := (*lv).LiveStats()
+			sn, _ := r.liveStats()
 			// Any scheduling progress counts: a long-running chunk still
 			// advances Iterations, a drain still advances Exits.
 			return sn.Instances + sn.Exits + sn.Chunks + sn.Iterations
@@ -463,7 +462,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 					return d.Diagnose()
 				}
 			}
-			return "(no probe: run not started)"
+			return "(no probe: run not started or already done)"
 		}
 	}
 	name := tenantName(sub.Tenant)
@@ -547,8 +546,11 @@ const watchdogFlightEvents = 64
 type Run struct {
 	h      *runmgr.Run
 	sample time.Duration
-	probe  atomic.Pointer[repro.Live]
-	ckpt   atomic.Pointer[repro.Checkpoint]
+	// probe is the live executor while the run is in flight; final is
+	// its frozen last sample once the run is done (see compact).
+	probe atomic.Pointer[repro.Live]
+	final atomic.Pointer[core.Snapshot]
+	ckpt  atomic.Pointer[repro.Checkpoint]
 	// yield distinguishes "someone wants this run to stop at its next
 	// checkpoint" (pause request, preemption) from the chain-internal
 	// checkpoints a CheckpointEvery run takes and rides through.
@@ -556,6 +558,35 @@ type Run struct {
 	// snapshots counts the periodic snapshots a CheckpointEvery chain
 	// has parked (not the terminal checkpoint of a paused run).
 	snapshots atomic.Int64
+}
+
+// liveStats samples the executor counters: live from the probe while
+// the run is in flight, frozen once compact has dropped it. ok is false
+// before the run's first attempt starts.
+func (r *Run) liveStats() (core.Snapshot, bool) {
+	if lv := r.probe.Load(); lv != nil {
+		return (*lv).LiveStats(), true
+	}
+	if sn := r.final.Load(); sn != nil {
+		return *sn, true
+	}
+	return core.Snapshot{}, false
+}
+
+// compact releases what a done run no longer needs before the manager
+// finalizes it: the executor probe (which pins the whole executor —
+// pool, control blocks, flight recorder) is replaced by its last
+// sample, so Progress reads the same counters, and the periodic
+// restore point of a CheckpointEvery chain is dropped — there is
+// nothing left to restore. Runs that end checkpointed or over budget
+// never reach here and keep their resumable snapshot.
+func (r *Run) compact() {
+	if lv := r.probe.Load(); lv != nil {
+		sn := (*lv).LiveStats()
+		r.final.Store(&sn)
+		r.probe.Store(nil)
+	}
+	r.ckpt.Store(nil)
 }
 
 // ID returns the runner-assigned identifier.
@@ -608,7 +639,9 @@ func (r *Run) RequestCheckpoint() bool {
 // finalized as StateCheckpointed, for a checkpointable run that failed
 // with repro.ErrBudgetExceeded (resubmit it with Options.Resume and a
 // fresh budget), and — continuously, while the run is still live — the
-// latest periodic snapshot of a CheckpointEvery chain. Nil otherwise.
+// latest periodic snapshot of a CheckpointEvery chain. Nil otherwise,
+// including for every done run: a finished chain drops its last
+// restore point.
 func (r *Run) Checkpoint() *repro.Checkpoint { return r.ckpt.Load() }
 
 // Snapshots returns how many periodic snapshots a CheckpointEvery
@@ -661,8 +694,7 @@ func (r *Run) Progress() Progress {
 		}
 		p.Elapsed = end.Sub(started)
 	}
-	if lv := r.probe.Load(); lv != nil {
-		sn := (*lv).LiveStats()
+	if sn, ok := r.liveStats(); ok {
 		p.Instances = sn.Instances
 		p.InstancesDone = sn.Exits
 		p.Iterations = sn.Iterations
