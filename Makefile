@@ -45,8 +45,10 @@ bench-e2e:
 	bash e2ebench/run.sh --workload nest-spin --seed $(E2E_SEED) --seconds 40 --trace 0
 	bash e2ebench/run.sh --workload cluster-durable --seed $(E2E_SEED) --seconds 40 --trace 0
 
-# verify is the tier-1 gate: everything builds, every test passes.
+# verify is the tier-1 gate: every file is gofmt-clean, everything
+# builds, every test passes.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
 

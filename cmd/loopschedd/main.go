@@ -166,26 +166,26 @@ func clusterFlags(node, peers, path, secret string, probe, rpcTimeout time.Durat
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		maxConcurrent  = flag.Int("max-concurrent", 4, "maximum runs executing at once")
-		queueLimit     = flag.Int("queue-limit", 64, "maximum queued runs (0 = unbounded)")
-		sample         = flag.Duration("sample", 200*time.Millisecond, "progress sampling interval")
-		defaultTimeout = flag.Duration("default-timeout", 0, "timeout applied to runs that specify none (0 = none)")
-		maxBodyBytes   = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes")
-		watchdog       = flag.Duration("watchdog", 0, "declare a run stuck after this long without scheduling progress (0 = off)")
-		watchdogCancel = flag.Bool("watchdog-cancel", false, "cancel runs the watchdog declares stuck")
-		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
-		journalPath    = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
-		journalSync    = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
-		scheduler      = flag.String("scheduler", "fifo", "dispatch policy: fifo or wfq")
-		tenantsPath    = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
-		node           = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
-		peers          = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")
-		clusterPath    = flag.String("cluster", "", "cluster config file: {\"self\": \"n1\", \"secret\": \"...\", \"peers\": {\"n1\": \"http://...\", ...}} (alternative to -node/-peers)")
-		clusterSecret  = flag.String("cluster-secret", "", "shared secret authenticating intra-cluster calls (required with -peers; overrides the cluster file's)")
-		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "cluster health-probe period")
-		rpcTimeout     = flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline on intra-cluster requests")
-		deadAfter      = flag.Int("dead-after", 3, "consecutive missed probes before a peer is declared dead and failed over")
+		addr            = flag.String("addr", ":8080", "listen address")
+		maxConcurrent   = flag.Int("max-concurrent", 4, "maximum runs executing at once")
+		queueLimit      = flag.Int("queue-limit", 64, "maximum queued runs (0 = unbounded)")
+		sample          = flag.Duration("sample", 200*time.Millisecond, "progress sampling interval")
+		defaultTimeout  = flag.Duration("default-timeout", 0, "timeout applied to runs that specify none (0 = none)")
+		maxBodyBytes    = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes")
+		watchdog        = flag.Duration("watchdog", 0, "declare a run stuck after this long without scheduling progress (0 = off)")
+		watchdogCancel  = flag.Bool("watchdog-cancel", false, "cancel runs the watchdog declares stuck")
+		drainTimeout    = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
+		journalPath     = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
+		journalSync     = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
+		scheduler       = flag.String("scheduler", "fifo", "dispatch policy: fifo or wfq")
+		tenantsPath     = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
+		node            = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
+		peers           = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")
+		clusterPath     = flag.String("cluster", "", "cluster config file: {\"self\": \"n1\", \"secret\": \"...\", \"peers\": {\"n1\": \"http://...\", ...}} (alternative to -node/-peers)")
+		clusterSecret   = flag.String("cluster-secret", "", "shared secret authenticating intra-cluster calls (required with -peers; overrides the cluster file's)")
+		probeInterval   = flag.Duration("probe-interval", 500*time.Millisecond, "cluster health-probe period")
+		rpcTimeout      = flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline on intra-cluster requests")
+		deadAfter       = flag.Int("dead-after", 3, "consecutive missed probes before a peer is declared dead and failed over")
 		checkpointEvery = flag.Int64("checkpoint-every", 0, "default periodic-snapshot period (chunk claims) applied to clustered submissions; 0 = snapshots only when a submission asks")
 	)
 	flag.Parse()

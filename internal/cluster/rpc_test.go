@@ -94,7 +94,9 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := fastClient(t, ClientConfig{Attempts: 3})
-	var out struct{ OK bool `json:"ok"` }
+	var out struct {
+		OK bool `json:"ok"`
+	}
 	if _, err := c.Do(context.Background(), testPeer(ts), http.MethodGet, "/", nil, &out); err != nil {
 		t.Fatalf("Do: %v", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro"
@@ -68,10 +69,10 @@ type Stream struct {
 }
 
 // FairnessGoal asserts the dispatch-order share between two tenants
-// over Window dispatched runs, Skip runs into the sequence (the first
-// dispatches go to idle slots in arrival order, before a backlog exists
-// for the scheduler to arbitrate): Tenants[0]'s completed iterations
-// over Tenants[1]'s must fall within [Ratio-Tol, Ratio+Tol].
+// over Window dispatched runs, Skip runs into the sequence:
+// Tenants[0]'s completed iterations over Tenants[1]'s must fall within
+// [Ratio-Tol, Ratio+Tol]. Run holds every worker slot until all
+// streams are queued, so the whole sequence is the scheduler's choice.
 type FairnessGoal struct {
 	Tenants [2]string
 	Skip    int
@@ -197,6 +198,17 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 
+	release := func() {}
+	if c.Goals.Fairness != nil {
+		var err error
+		if release, err = plugSlots(rn, class.Workers); err != nil {
+			return Report{}, err
+		}
+		// Deferred after rn.Close, so it runs first: a plug that is
+		// never released would hold its slot through the shutdown.
+		defer release()
+	}
+
 	rep := Report{Case: c.Name, Class: c.Class, TenantIters: map[string]int64{}}
 	var runs []*runner.Run
 	submit := func(st Stream) error {
@@ -245,6 +257,7 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 
+	release()
 	if err := rn.Drain(ctx); err != nil {
 		return Report{}, fmt.Errorf("loadcheck: case %s: %w", c.Name, err)
 	}
@@ -293,6 +306,37 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// plugSlots fills every worker slot of a fresh runner with an
+// anonymous run held at its start, and returns the function that lets
+// them go. A fairness goal measures how the scheduler arbitrates a
+// backlog; without the plugs an idle slot would dispatch the first
+// submissions in arrival order while the other streams were still
+// being submitted, and the window would measure how fast the engine
+// runs rather than the scheduler. Plugs are not part of the case's
+// runs: they are not counted, and they dispatch before the window's
+// sequence begins.
+func plugSlots(rn *runner.Runner, n int) (release func(), err error) {
+	prog, err := program(1)
+	if err != nil {
+		return nil, err
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	for i := 0; i < n; i++ {
+		r, err := rn.Submit(runner.Submission{
+			Program: prog,
+			Options: repro.Options{Procs: 1, Observe: func(repro.Live) { <-gate }},
+		})
+		if err != nil {
+			release()
+			return nil, fmt.Errorf("loadcheck: plugging worker slot: %w", err)
+		}
+		<-r.Started()
+	}
+	return release, nil
 }
 
 func tenantKey(t string) string {

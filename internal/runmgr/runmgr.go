@@ -270,7 +270,10 @@ func (m *Manager) pickVictimLocked(r *Run) *Run {
 // otherwise by cancelling the attempt's context. Either way the job's
 // Run returns shortly and exec requeues the run.
 func (m *Manager) preempt(v *Run) {
-	if v.job.Preempt != nil && v.job.Preempt() {
+	m.mu.Lock()
+	hook := v.job.Preempt // finalizeLocked may clear it once v is done
+	m.mu.Unlock()
+	if hook != nil && hook() {
 		return
 	}
 	v.cancelAttempt()
@@ -586,6 +589,13 @@ func (r *Run) Stuck() (diagnostic string, stuck bool) {
 
 // finalizeLocked records the outcome and marks the run terminal.
 // Callers hold mgr.mu.
+//
+// A done run never executes, yields or reports progress again, so its
+// job's execution closures are dropped: they pin whatever they captured
+// (a runner job's compiled program and options) for as long as the
+// manager keeps the run. The metadata (Label, Tenant, Weight, Priority)
+// and Sample stay. Runs that end in any other state keep their job as
+// it was.
 func (r *Run) finalizeLocked(res any, err error) {
 	if r.state.Terminal() {
 		return
@@ -594,6 +604,7 @@ func (r *Run) finalizeLocked(res any, err error) {
 	switch {
 	case err == nil:
 		r.state = StateDone
+		r.job.Run, r.job.Preempt, r.job.Heartbeat, r.job.Diagnose = nil, nil, nil, nil
 	case errors.Is(err, ErrCheckpointed):
 		r.state = StateCheckpointed
 	case errors.Is(err, context.Canceled):

@@ -256,3 +256,56 @@ func TestStatsCensus(t *testing.T) {
 		t.Fatal("Closed not reported after Close")
 	}
 }
+
+// TestDoneRunDropsJobClosures pins the done-run compaction: finalizing a
+// run as done drops its job's execution closures (Run, Preempt,
+// Heartbeat, Diagnose) while its metadata and Sample stay; a run that
+// ends in any other state keeps its job as submitted.
+func TestDoneRunDropsJobClosures(t *testing.T) {
+	m := New(Config{MaxConcurrent: 1})
+	job := func(err error) Job {
+		return Job{
+			Label:     "kept",
+			Tenant:    "gold",
+			Weight:    3,
+			Priority:  2,
+			Run:       func(context.Context) (any, error) { return 7, err },
+			Sample:    func() any { return "sample" },
+			Heartbeat: func() int64 { return 1 },
+			Diagnose:  func() string { return "diag" },
+			Preempt:   func() bool { return false },
+		}
+	}
+	done, err := m.Submit(job(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := m.Submit(job(errors.New("boom")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := done.Wait(context.Background()); err != nil || res != 7 {
+		t.Fatalf("done run: %v, %v", res, err)
+	}
+	if _, err := failed.Wait(context.Background()); err == nil {
+		t.Fatal("failing job reported success")
+	}
+	m.mu.Lock()
+	dj, fj := done.job, failed.job
+	m.mu.Unlock()
+	if dj.Run != nil || dj.Preempt != nil || dj.Heartbeat != nil || dj.Diagnose != nil {
+		t.Error("done run still holds execution closures")
+	}
+	if dj.Label != "kept" || dj.Tenant != "gold" || dj.Weight != 3 || dj.Priority != 2 || dj.Sample == nil {
+		t.Errorf("done run lost its metadata: %+v", dj)
+	}
+	if done.Label() != "kept" || done.Tenant() != "gold" || done.Sample() != "sample" {
+		t.Errorf("done run reads label %q tenant %q sample %v", done.Label(), done.Tenant(), done.Sample())
+	}
+	if res, err := done.Result(); err != nil || res != 7 {
+		t.Errorf("done run's result changed: %v, %v", res, err)
+	}
+	if fj.Run == nil || fj.Preempt == nil || fj.Heartbeat == nil || fj.Diagnose == nil {
+		t.Error("failed run lost its job closures")
+	}
+}

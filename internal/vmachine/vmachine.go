@@ -81,14 +81,23 @@ type varKey struct {
 	gen uint64
 }
 
+// varState is everything the engine tracks for one variable lifetime,
+// so an access costs a single map lookup.
+type varState struct {
+	// avail is when the variable's memory module frees up; zero (never
+	// occupied) is never later than a non-negative virtual time.
+	avail machine.Time
+	// home is the NUMA home processor, -1 until the first touch.
+	home int
+	stat VarStat
+}
+
 // Engine is a virtual multiprocessor. It implements machine.Engine.
 // An Engine is single-use: create a new one for each Run.
 type Engine struct {
 	cfg   Config
 	sim   *des.Sim
-	avail map[varKey]machine.Time
-	stats map[varKey]*VarStat
-	home  map[varKey]int
+	vars  map[varKey]*varState
 	procs []*vproc
 }
 
@@ -111,11 +120,9 @@ type VarStat struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:   cfg,
-		sim:   des.New(),
-		avail: make(map[varKey]machine.Time),
-		stats: make(map[varKey]*VarStat),
-		home:  make(map[varKey]int),
+		cfg:  cfg,
+		sim:  des.New(),
+		vars: make(map[varKey]*varState),
 	}
 }
 
@@ -154,9 +161,9 @@ func (e *Engine) Run(worker func(machine.Proc)) machine.RunReport {
 // entries. With Combining enabled queueing is zero and ordering falls
 // back to access counts.
 func (e *Engine) HotSpots(n int) []VarStat {
-	out := make([]VarStat, 0, len(e.stats))
-	for _, st := range e.stats {
-		out = append(out, *st)
+	out := make([]VarStat, 0, len(e.vars))
+	for _, vs := range e.vars {
+		out = append(out, vs.stat)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Wait != out[j].Wait {
@@ -211,8 +218,8 @@ func (v *vproc) Idle(cost machine.Time) {
 
 // Access models one synchronization access: the processor waits for the
 // variable's memory module to become free (unless combining), occupies it
-// for AccessCost, and resumes afterwards. The avail map is shared but safe:
-// only one des process executes at a time.
+// for AccessCost, and resumes afterwards. The variable table is shared
+// but safe: only one des process executes at a time.
 //
 // A variable flagged SyncVar.SetCombining is served by the software
 // combining network: an access that arrives while the module window is
@@ -226,43 +233,37 @@ func (v *vproc) Access(sv *machine.SyncVar) {
 	cfg := v.eng.cfg
 	key := varKey{sv: sv, gen: sv.Generation()}
 	now := v.p.Now()
-	st, ok := v.eng.stats[key]
-	if !ok {
-		st = &VarStat{Name: sv.Name()}
-		v.eng.stats[key] = st
+	vs := v.eng.vars[key]
+	if vs == nil {
+		vs = &varState{home: -1, stat: VarStat{Name: sv.Name()}}
+		v.eng.vars[key] = vs
 	}
-	st.Accesses++
-	if !cfg.Combining && sv.Combining() {
-		if a, ok := v.eng.avail[key]; ok && a > now {
-			// Join the open window: finish with the in-flight combined
-			// operation, leaving avail untouched.
-			st.Combined++
-			v.p.AdvanceTo(a)
-			return
-		}
+	vs.stat.Accesses++
+	if !cfg.Combining && sv.Combining() && vs.avail > now {
+		// Join the open window: finish with the in-flight combined
+		// operation, leaving avail untouched.
+		vs.stat.Combined++
+		v.p.AdvanceTo(vs.avail)
+		return
 	}
 	start := now
-	if !cfg.Combining {
-		if a, ok := v.eng.avail[key]; ok && a > start {
-			start = a
-		}
+	if !cfg.Combining && vs.avail > start {
+		start = vs.avail
 	}
 	cost := cfg.AccessCost
 	if cfg.RemotePenalty > 0 {
-		home, ok := v.eng.home[key]
-		if !ok {
-			home = v.p.ID() // first toucher homes the variable
-			v.eng.home[key] = home
+		if vs.home < 0 {
+			vs.home = v.p.ID() // first toucher homes the variable
 		}
-		if home != v.p.ID() {
+		if vs.home != v.p.ID() {
 			cost += cfg.RemotePenalty
 		}
 	}
 	end := start + cost
 	if !cfg.Combining {
-		v.eng.avail[key] = end
+		vs.avail = end
 	}
-	st.Wait += start - now
+	vs.stat.Wait += start - now
 	v.p.AdvanceTo(end)
 }
 

@@ -332,6 +332,8 @@ type Result struct {
 	// (virtual engine only), ordered by queueing time.
 	HotSpots []HotSpot
 
+	// prog is GanttChart's input, so it is set only with a Trace: an
+	// untraced result does not pin the compiled program.
 	prog *Program
 }
 
@@ -485,7 +487,9 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		SchemeName:  rep.Scheme,
 		Procs:       eng.NumProcs(),
 		Trace:       log,
-		prog:        p,
+	}
+	if log != nil {
+		res.prog = p
 	}
 	if ve, ok := eng.(*vmachine.Engine); ok {
 		for _, h := range ve.HotSpots(10) {

@@ -2,10 +2,12 @@ package runner
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro"
 )
@@ -225,5 +227,89 @@ func TestDoneRunCompacts(t *testing.T) {
 	r.probe.Store(last.Load())
 	if before := r.Progress(); before != after {
 		t.Errorf("progress changed by compaction:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestDoneRunReleasesProgram pins that a done run stops pinning its
+// compiled program — the manager drops the job's closures, and the
+// result keeps the program only for a traced run's Gantt chart — while
+// the handle reads the same label, tenant, progress and result. A run
+// that ends checkpointed keeps its snapshot and still resumes.
+func TestDoneRunReleasesProgram(t *testing.T) {
+	rn := New(Config{
+		MaxConcurrent: 1,
+		Tenants:       map[string]Tenant{"gold": {Weight: 3}},
+		// A watched, checkpointable run carries every job closure:
+		// Run, Preempt, Heartbeat and Diagnose.
+		Watchdog: WatchdogConfig{Interval: time.Minute},
+	})
+	defer rn.Close()
+	// The program is reachable only through the run from here on.
+	submit := func() (*Run, weak.Pointer[repro.Program]) {
+		prog := finiteProgram(t, 64)
+		r, err := rn.Submit(Submission{
+			Program: prog,
+			Options: repro.Options{Procs: 4, Scheme: "gss", Checkpointable: true},
+			Label:   "kept",
+			Tenant:  "gold",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, weak.Make(prog)
+	}
+	r, prog := submit()
+	res, err := r.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Progress()
+	// The runner's outcome-folding goroutine holds the submission until
+	// it has run; give it time on a loaded host.
+	for deadline := time.Now().Add(5 * time.Second); prog.Value() != nil && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if prog.Value() != nil {
+		t.Error("done run still pins its compiled program")
+	}
+	if r.Label() != "kept" || r.Tenant() != "gold" {
+		t.Errorf("done run reads label %q tenant %q", r.Label(), r.Tenant())
+	}
+	if after := r.Progress(); after != before || after.State != "done" || after.Iterations != 64 {
+		t.Errorf("progress after release %+v, at finish %+v", after, before)
+	}
+	if got, err := r.Result(); err != nil || got != res || got.Stats.Iterations != 64 {
+		t.Errorf("result after release: %v (%+v), want the finished %+v", err, got, res)
+	}
+
+	prog2 := finiteProgram(t, 64)
+	paused, err := rn.Submit(Submission{
+		Program: prog2,
+		Options: repro.Options{Procs: 4, Scheme: "gss", CheckpointAfter: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := paused.Wait(context.Background()); err == nil {
+		t.Fatal("CheckpointAfter run finished instead of pausing")
+	}
+	ck := paused.Checkpoint()
+	if paused.State() != StateCheckpointed || ck == nil {
+		t.Fatalf("state %v, checkpoint %v: want a parked snapshot", paused.State(), ck)
+	}
+	resumed, err := rn.Submit(Submission{
+		Program: prog2,
+		Options: repro.Options{Procs: 4, Scheme: "gss", Resume: ck},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got.Stats.Iterations != 64 {
+		t.Errorf("resumed run reports %d iterations, want 64", got.Stats.Iterations)
 	}
 }

@@ -210,10 +210,10 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		submitted:  reg.Counter("runner_runs_submitted_total", "Runs accepted by Submit."),
-		done:       reg.Counter("runner_runs_done_total", "Runs finished successfully."),
-		failed:     reg.Counter("runner_runs_failed_total", "Runs finalized with an error (including expired timeouts)."),
-		cancelled:  reg.Counter("runner_runs_cancelled_total", "Runs cancelled before completion."),
+		submitted: reg.Counter("runner_runs_submitted_total", "Runs accepted by Submit."),
+		done:      reg.Counter("runner_runs_done_total", "Runs finished successfully."),
+		failed:    reg.Counter("runner_runs_failed_total", "Runs finalized with an error (including expired timeouts)."),
+		cancelled: reg.Counter("runner_runs_cancelled_total", "Runs cancelled before completion."),
 		checkpointed: reg.Counter("runner_runs_checkpointed_total",
 			"Runs that paused at a checkpoint with a resumable snapshot."),
 		budgetExceeded: reg.Counter("runner_runs_budget_exceeded_total",
